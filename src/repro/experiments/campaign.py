@@ -108,7 +108,7 @@ def bandwidth_job(
     name: str,
     packet_count: int = 20,
     payload_size: int = 1000,
-    lead_time: float = 0.5,
+    lead_time: float = 5.0,
     settle_time: float = 3.0,
     endpoint: Optional[str] = None,
 ) -> CampaignJob:

@@ -19,7 +19,11 @@ Design:
 - Cancelled timers are purged lazily: each scheduler counts cancellations
   and compacts its storage once more than half of the stored entries are
   dead, so tight create/cancel loops (RPC timeouts, retry backoff,
-  ``any_of`` losers) cannot bloat the pending set.
+  the timeouts behind ``any_of`` calls) cannot bloat the pending set.
+- :func:`any_of` spawns no processes: a slotted waiter object sits on
+  each event and is resumed one tick after the fire, just as a waiting
+  process would be; the first to resume fires the combined event and
+  detaches the rest from their events.
 - Concurrency uses plain Python generators (SimPy style). A process is a
   generator that ``yield``s what it wants to wait for:
 
@@ -792,25 +796,45 @@ def all_of(sim: Simulator, events: Iterable[Event]) -> Event:
     return combined
 
 
+class _AnyOfWaiter:
+    """Stands in for a waiting process on one of :func:`any_of`'s events:
+    the event resumes it one tick after the fire, in waiter order."""
+
+    __slots__ = ("combined", "index", "siblings")
+
+    def __init__(self, combined: Event, index: int,
+                 siblings: list[tuple[Event, "_AnyOfWaiter"]]) -> None:
+        self.combined = combined
+        self.index = index
+        self.siblings = siblings
+
+    def _step(self, value: Any = None, throw: Optional[BaseException] = None) -> None:
+        combined = self.combined
+        if combined._fired:
+            return
+        if throw is not None:
+            combined.fire(_Result(None, throw))
+        else:
+            combined.fire((self.index, value))
+        for event, waiter in self.siblings:
+            if waiter is not self:
+                event._remove_waiter(waiter)
+
+
 def any_of(sim: Simulator, events: Iterable[Event]) -> Event:
     """An event that fires with ``(index, value)`` of the first to fire.
 
-    The losing waiters are killed when a winner fires, detaching them
-    from their events — long-lived events (timeouts that never trip,
-    queues that never drain) do not accumulate dead waiters.
+    No process is spawned: a slotted waiter object sits on each event.
+    When the first one fires, its waiter fires the combined event and
+    detaches the others from their events, so long-lived events (timeouts
+    that never trip, queues that never drain) do not accumulate dead
+    waiters. If the first event is a failed process's completion, the
+    failure is raised in whoever waits on the combined event.
     """
-    events = list(events)
     combined = sim.event(name="any_of")
-    procs: list[Process] = []
-
-    def waiter(index: int, event: Event) -> ProcessGen:
-        value = yield event
-        if not combined.fired:
-            combined.fire((index, value))
-            for other_index, proc in enumerate(procs):
-                if other_index != index and proc.alive:
-                    proc.kill()
-
+    siblings: list[tuple[Event, _AnyOfWaiter]] = []
     for index, event in enumerate(events):
-        procs.append(sim.spawn(waiter(index, event), name=f"any_of[{index}]"))
+        waiter = _AnyOfWaiter(combined, index, siblings)
+        siblings.append((event, waiter))
+        event._add_waiter(waiter)  # type: ignore[arg-type]
     return combined

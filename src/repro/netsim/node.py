@@ -11,8 +11,12 @@ from repro.netsim.stack.icmp import IcmpLayer
 from repro.netsim.stack.ip import IpLayer
 from repro.netsim.stack.tcp import TcpLayer
 from repro.netsim.stack.udp import UdpLayer
-from repro.packet.ipv4 import IPv4Packet
+from repro.packet.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, IPv4Packet
 from repro.util.inet import format_ip, ip_in_network
+
+# Bound on a node's memo of prefix-scan answers; an address-scanning
+# experiment sends to unboundedly many destinations.
+ROUTE_CACHE_MAX = 4096
 
 
 class Interface:
@@ -40,12 +44,14 @@ class Interface:
         self.prefix_len = prefix_len
         if addr:
             self.node._local_addrs.add(addr)
+        self.node._route_cache.clear()
         return self
 
     def attach(self, tx: LinkDirection) -> None:
         if self._tx is not None:
             raise RuntimeError(f"interface {self.full_name} already attached")
         self._tx = tx
+        self.node._route_cache.clear()
 
     def send(self, packet: IPv4Packet) -> bool:
         if self._tx is None:
@@ -94,6 +100,9 @@ class Node:
         # linear longest-prefix scan on the forwarding fast path. Filled
         # by Network.compute_routes / fleet route installation.
         self.route_table: dict[int, Interface] = {}
+        # dst -> answer of the interface/prefix scan behind route_table;
+        # cleared whenever an interface or a prefix route changes.
+        self._route_cache: dict[int, Optional[Interface]] = {}
         self._local_addrs: set[int] = set()
         self.ip = IpLayer(self)
         self.icmp = IcmpLayer(self)
@@ -112,6 +121,7 @@ class Node:
             self.route_table[prefix] = iface
         else:
             self.routes.append(Route(prefix, prefix_len, iface))
+            self._route_cache.clear()
 
     def add_exact_route(self, addr: int, iface: Interface) -> None:
         """Install a host (/32) route in the exact-match table."""
@@ -119,6 +129,12 @@ class Node:
 
     def set_default_route(self, iface: Interface) -> None:
         self.add_route(0, 0, iface)
+
+    def clear_routes(self) -> None:
+        """Drop every installed route (prefix and exact-match)."""
+        self.routes.clear()
+        self.route_table.clear()
+        self._route_cache.clear()
 
     # -- address helpers ----------------------------------------------------
 
@@ -141,6 +157,9 @@ class Node:
         exact = self.route_table.get(dst)
         if exact is not None:
             return exact
+        cache = self._route_cache
+        if dst in cache:
+            return cache[dst]
         best_iface: Optional[Interface] = None
         best_len = -1
         for iface in self.interfaces:
@@ -156,6 +175,9 @@ class Node:
             if route.prefix_len > best_len and route.matches(dst):
                 best_iface = route.iface
                 best_len = route.prefix_len
+        if len(cache) >= ROUTE_CACHE_MAX:
+            cache.clear()
+        cache[dst] = best_iface
         return best_iface
 
     # -- packet paths ---------------------------------------------------------
@@ -165,8 +187,6 @@ class Node:
 
     def local_deliver(self, packet: IPv4Packet) -> None:
         """Dispatch a packet addressed to this node to its L4 handler."""
-        from repro.packet.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP
-
         if packet.proto == PROTO_ICMP:
             self.icmp.receive(packet)
         elif packet.proto == PROTO_UDP:

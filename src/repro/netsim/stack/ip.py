@@ -78,12 +78,13 @@ class IpLayer:
         node = self._node
         if node.is_local_address(packet.dst):
             consumed = False
-            for tap in list(self._taps):
-                if not tap.active:
-                    continue
-                verdict = tap.callback(packet)
-                if verdict == VERDICT_CONSUME:
-                    consumed = True
+            if self._taps:
+                for tap in list(self._taps):
+                    if not tap.active:
+                        continue
+                    verdict = tap.callback(packet)
+                    if verdict == VERDICT_CONSUME:
+                        consumed = True
             if not consumed:
                 self.packets_delivered += 1
                 node.local_deliver(packet)

@@ -121,8 +121,7 @@ class Network:
         adjacency = self._build_adjacency()
         for name, node in self.nodes.items():
             first_hop = self._dijkstra_first_hops(name, adjacency)
-            node.routes.clear()
-            node.route_table.clear()
+            node.clear_routes()
             table = node.route_table
             for dest_name, iface in first_hop.items():
                 if dest_name == name:

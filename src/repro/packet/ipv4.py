@@ -14,7 +14,7 @@ are rejected loudly rather than mis-parsed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.packet.checksum import internet_checksum
 from repro.util.byteio import DecodeError
@@ -54,7 +54,13 @@ class IPv4Packet:
         """Copy with TTL reduced by one (router forwarding)."""
         if self.ttl <= 0:
             raise ValueError("cannot decrement TTL below zero")
-        return replace(self, ttl=self.ttl - 1)
+        # Copying the field dict skips the frozen __init__; every router
+        # hop makes one of these.
+        clone = object.__new__(type(self))
+        fields = clone.__dict__
+        fields.update(self.__dict__)
+        fields["ttl"] = self.ttl - 1
+        return clone
 
     def encode(self) -> bytes:
         """Serialize to wire bytes with a correct header checksum."""

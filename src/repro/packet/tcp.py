@@ -33,6 +33,28 @@ def flag_names(flags: int) -> str:
     return "|".join(names) if names else "none"
 
 
+def _parse_mss(options: bytes) -> int | None:
+    """The MSS option's value, if present; validates option framing."""
+    mss = None
+    pos = 0
+    while pos < len(options):
+        kind = options[pos]
+        if kind == 0:  # end of options
+            break
+        if kind == 1:  # NOP
+            pos += 1
+            continue
+        if pos + 1 >= len(options):
+            raise DecodeError("truncated TCP option")
+        length = options[pos + 1]
+        if length < 2 or pos + length > len(options):
+            raise DecodeError("bad TCP option length")
+        if kind == 2 and length == 4:
+            mss = struct.unpack(">H", options[pos + 2 : pos + 4])[0]
+        pos += length
+    return mss
+
+
 @dataclass(frozen=True)
 class TcpSegment:
     src_port: int
@@ -109,23 +131,8 @@ class TcpSegment:
             if internet_checksum(pseudo + data) != 0:
                 raise DecodeError("bad TCP checksum")
         mss = None
-        options = data[TCP_HEADER_LEN:header_len]
-        pos = 0
-        while pos < len(options):
-            kind = options[pos]
-            if kind == 0:  # end of options
-                break
-            if kind == 1:  # NOP
-                pos += 1
-                continue
-            if pos + 1 >= len(options):
-                raise DecodeError("truncated TCP option")
-            length = options[pos + 1]
-            if length < 2 or pos + length > len(options):
-                raise DecodeError("bad TCP option length")
-            if kind == 2 and length == 4:
-                mss = struct.unpack(">H", options[pos + 2 : pos + 4])[0]
-            pos += length
+        if header_len > TCP_HEADER_LEN:  # only SYNs carry options
+            mss = _parse_mss(data[TCP_HEADER_LEN:header_len])
         return cls(
             src_port=src_port,
             dst_port=dst_port,

@@ -7,6 +7,7 @@ from repro.core.testbed import Testbed
 from repro.cpf import figure2_monitor
 from repro.crypto.certificate import Restrictions
 from repro.experiments.bandwidth import measure_uplink_bandwidth
+from repro.experiments.campaign import bandwidth_job
 from repro.experiments.dnsquery import dns_query
 from repro.experiments.httpget import http_get
 from repro.experiments.ping import ping
@@ -17,6 +18,7 @@ from repro.experiments.servers import (
 )
 from repro.experiments.telescope import passive_capture
 from repro.experiments.traceroute import traceroute
+from repro.fleet import FleetTestbed
 from repro.netsim.topology import Network
 from repro.packet.dns import RCODE_NXDOMAIN
 from repro.util.inet import format_ip, parse_ip
@@ -208,6 +210,31 @@ class TestBandwidth:
         assert result_scheduled.measured_bps == pytest.approx(10e6, rel=0.05)
         # Immediate mode is throttled by control-channel delivery.
         assert result_immediate.measured_bps < result_scheduled.measured_bps * 0.8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_campaign_job_default_lead_measures_the_link(self, seed):
+        """A default bandwidth_job schedules its block far enough ahead
+        (t0+5 s) that the whole nsend chain lands first, so it measures
+        the access link rather than the command rate. (With a 0.5 s lead,
+        seeds 0 and 2 measured about 0.6 and 0.5 Mb/s.)"""
+        access_bps = 10e6
+        fleet = FleetTestbed(endpoint_count=1, topology="star", seed=seed,
+                             access_bandwidth_bps=access_bps)
+        results = []
+        job = bandwidth_job("bw")
+        run = job.run
+
+        def recording(handle, ctx):
+            result = yield from run(handle, ctx)
+            results.append(result)
+            return result
+
+        job.run = recording
+        report = fleet.run_campaign([job], campaign_name="bw-default")
+        assert report.jobs_completed == 1
+        (result,) = results
+        assert result.packets_received == result.packets_sent == 20
+        assert result.measured_bps == pytest.approx(access_bps, rel=0.01)
 
 
 class TestDns:

@@ -368,7 +368,7 @@ def test_queue_try_get_batch_drain():
 
 
 def test_any_of_losers_detach_from_events():
-    """Non-winning waiters must be killed so long-lived events do not
+    """Non-winning waiters must detach so long-lived events do not
     accumulate dead waiters."""
     sim = Simulator()
     never = sim.event(name="never-fires")

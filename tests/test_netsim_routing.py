@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.netsim.links import Link
+from repro.netsim.node import ROUTE_CACHE_MAX
 from repro.netsim.stack.ip import VERDICT_CONSUME, VERDICT_IGNORE, VERDICT_MIRROR
 from repro.netsim.topology import Network, access_topology, linear_topology
 from repro.packet.icmp import (
@@ -165,3 +167,68 @@ def test_clock_offset_and_skew():
     assert host.clock.now() == pytest.approx(expected_local)
     assert host.clock.ticks() == pytest.approx(expected_local * 1e9, rel=1e-9)
     assert host.clock.to_true_time(host.clock.now()) == pytest.approx(5.0)
+
+
+class TestRouteCache:
+    """lookup_route memoizes its prefix scan; every change to interfaces
+    or prefix routes must show in the next answer."""
+
+    OUTSIDE = parse_ip("192.168.5.9")
+
+    def _host(self):
+        net, src, dst = linear_topology(hop_count=2)
+        return net, src
+
+    def test_add_route_longer_prefix_wins(self):
+        net, host = self._host()
+        first = host.interfaces[0]
+        second = host.add_interface()
+        assert host.lookup_route(self.OUTSIDE) is None
+        host.add_route(parse_ip("192.168.0.0"), 16, first)
+        assert host.lookup_route(self.OUTSIDE) is first
+        host.add_route(parse_ip("192.168.5.0"), 24, second)
+        assert host.lookup_route(self.OUTSIDE) is second
+
+    def test_set_default_route(self):
+        net, host = self._host()
+        assert host.lookup_route(self.OUTSIDE) is None
+        host.set_default_route(host.interfaces[0])
+        assert host.lookup_route(self.OUTSIDE) is host.interfaces[0]
+
+    def test_interface_configure(self):
+        net, host = self._host()
+        iface = host.interfaces[0]
+        host.set_default_route(iface)
+        spare = host.add_interface()
+        peer = net.add_host("peer").add_interface()
+        Link(net.sim, spare, peer)
+        assert host.lookup_route(self.OUTSIDE) is iface
+        spare.configure(parse_ip("192.168.5.1"), 24)
+        assert host.lookup_route(self.OUTSIDE) is spare
+        spare.configure(parse_ip("172.16.0.1"), 24)
+        assert host.lookup_route(self.OUTSIDE) is iface
+
+    def test_attach(self):
+        net, host = self._host()
+        spare = host.add_interface().configure(parse_ip("192.168.5.1"), 24)
+        assert host.lookup_route(self.OUTSIDE) is None  # not connected yet
+        peer = net.add_host("peer").add_interface()
+        Link(net.sim, spare, peer)
+        assert host.lookup_route(self.OUTSIDE) is spare
+
+    def test_compute_routes_drops_stale_prefix_routes(self):
+        net, host = self._host()
+        host.set_default_route(host.interfaces[0])
+        assert host.lookup_route(self.OUTSIDE) is host.interfaces[0]
+        net.compute_routes()
+        assert host.lookup_route(self.OUTSIDE) is None
+        far = net["dst"].primary_address()
+        assert host.lookup_route(far) is host.interfaces[0]
+
+    def test_cache_is_bounded(self):
+        net, host = self._host()
+        host.set_default_route(host.interfaces[0])
+        base = parse_ip("172.16.0.0")
+        for offset in range(ROUTE_CACHE_MAX + 50):
+            assert host.lookup_route(base + offset) is host.interfaces[0]
+            assert len(host._route_cache) <= ROUTE_CACHE_MAX

@@ -1,5 +1,7 @@
 """Unit + property tests for the packet header codecs."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +47,118 @@ class TestChecksum:
         assert internet_checksum(b"\xff") == internet_checksum(b"\xff\x00")
 
 
+def rfc1071_reference(data) -> int:
+    """The RFC 1071 word loop with end-around carry: the test oracle."""
+    data = bytes(data)
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def _word_sum_multiple_of_ffff(words: list[int]) -> bytes:
+    """Append one word so the 16-bit word sum is a nonzero multiple of
+    0xFFFF — the residue where the big-int shortcut needs its fix-up."""
+    words = list(words) + [0]
+    words[-1] = (-sum(words)) % 0xFFFF or 0xFFFF
+    return b"".join(w.to_bytes(2, "big") for w in words)
+
+
+_BUFFERS = (bytes, bytearray, memoryview)
+
+
+class TestChecksumMatchesReference:
+    @pytest.mark.parametrize("kind", _BUFFERS)
+    @given(data=st.binary(max_size=1600))
+    def test_random_bytes(self, kind, data):
+        assert internet_checksum(kind(data)) == rfc1071_reference(data)
+
+    @pytest.mark.parametrize("kind", _BUFFERS)
+    @given(size=st.integers(0, 1601))
+    def test_all_ff_and_all_zero(self, kind, size):
+        for fill in (b"\xff", b"\x00"):
+            data = fill * size
+            assert internet_checksum(kind(data)) == rfc1071_reference(data)
+
+    @pytest.mark.parametrize("kind", _BUFFERS)
+    @given(words=st.lists(st.integers(0, 0xFFFF), max_size=64))
+    def test_sums_congruent_to_zero(self, kind, words):
+        data = _word_sum_multiple_of_ffff(words)
+        assert sum(int.from_bytes(data[i:i + 2], "big")
+                   for i in range(0, len(data), 2)) % 0xFFFF == 0
+        assert internet_checksum(kind(data)) == rfc1071_reference(data) == 0
+
+    @pytest.mark.parametrize("data", [b"", b"\x00", b"\xff", b"\xff\xff",
+                                      b"\x00\x00", b"\xff" * 3, b"\x01\x00\xfe"])
+    def test_edge_cases(self, data):
+        for kind in _BUFFERS:
+            assert internet_checksum(kind(data)) == rfc1071_reference(data)
+
+
+def _flip_one_byte(raw: bytes, index: int) -> bytes:
+    corrupted = bytearray(raw)
+    corrupted[index % len(raw)] ^= 0xFF
+    return bytes(corrupted)
+
+
+class TestEncodedPacketsVerify:
+    """Every encoder still emits a valid checksum, and one flipped byte
+    (anywhere the checksum covers) still fails decode."""
+
+    @given(payload=st.binary(max_size=300), ttl=st.integers(0, 255),
+           ident=st.integers(0, 0xFFFF), index=st.integers(0, 19))
+    def test_ipv4(self, payload, ttl, ident, index):
+        packet = IPv4Packet(src=SRC, dst=DST, proto=PROTO_UDP, payload=payload,
+                            ttl=ttl, ident=ident)
+        raw = packet.encode()
+        assert IPv4Packet.decode(raw) == packet
+        with pytest.raises(DecodeError):
+            IPv4Packet.decode(_flip_one_byte(raw[:20], index) + raw[20:])
+
+    @given(payload=st.binary(max_size=300), seq=st.integers(0, 0xFFFFFFFF),
+           flags=st.integers(0, 0x3F), index=st.integers(0, 10_000))
+    def test_tcp(self, payload, seq, flags, index):
+        segment = TcpSegment(src_port=4000, dst_port=80, seq=seq, ack=7,
+                             flags=flags, window=512, payload=payload)
+        raw = segment.encode(SRC, DST)
+        assert TcpSegment.decode(raw, SRC, DST) == segment
+        # Flip outside the data-offset byte so the header still parses
+        # and the checksum is what rejects the segment.
+        index = index % len(raw)
+        if index == 12:
+            index = 13
+        with pytest.raises(DecodeError, match="checksum"):
+            TcpSegment.decode(_flip_one_byte(raw, index), SRC, DST)
+
+    @given(payload=st.binary(max_size=300), index=st.integers(0, 10_000))
+    def test_udp(self, payload, index):
+        datagram = UdpDatagram(src_port=5000, dst_port=53, payload=payload)
+        raw = datagram.encode(SRC, DST)
+        assert UdpDatagram.decode(raw, SRC, DST) == datagram
+        # The length field (bytes 4-5) is checked before the checksum, and
+        # a checksum field flipped to zero means "no checksum" (RFC 768).
+        index = index % len(raw)
+        corrupted = _flip_one_byte(raw, index)
+        if index in (4, 5) or corrupted[6:8] == b"\x00\x00":
+            corrupted = _flip_one_byte(raw, 0)
+        with pytest.raises(DecodeError, match="checksum"):
+            UdpDatagram.decode(corrupted, SRC, DST)
+
+    @given(payload=st.binary(max_size=300), rest=st.integers(0, 0xFFFFFFFF),
+           index=st.integers(0, 10_000))
+    def test_icmp(self, payload, rest, index):
+        message = IcmpMessage(icmp_type=ICMP_ECHO_REQUEST, code=0, rest=rest,
+                              body=payload)
+        raw = message.encode()
+        assert IcmpMessage.decode(raw) == message
+        with pytest.raises(DecodeError, match="checksum"):
+            IcmpMessage.decode(_flip_one_byte(raw, index))
+
+
 class TestIPv4:
     def test_round_trip(self):
         packet = IPv4Packet(src=SRC, dst=DST, proto=PROTO_UDP, payload=b"abc", ttl=17)
@@ -68,8 +182,13 @@ class TestIPv4:
             IPv4Packet.decode(bytes(raw))
 
     def test_decremented_lowers_ttl(self):
-        packet = IPv4Packet(src=SRC, dst=DST, proto=1, payload=b"", ttl=2)
-        assert packet.decremented().ttl == 1
+        packet = IPv4Packet(src=SRC, dst=DST, proto=1, payload=b"", ttl=2,
+                            ident=7, dscp=3, dont_fragment=False)
+        hop = packet.decremented()
+        assert hop == dataclasses.replace(packet, ttl=1)
+        assert packet.ttl == 2  # the original is untouched
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hop.ttl = 5
 
     def test_decremented_rejects_zero(self):
         packet = IPv4Packet(src=SRC, dst=DST, proto=1, payload=b"", ttl=0)
